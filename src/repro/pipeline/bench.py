@@ -68,6 +68,7 @@ from .workload import generate_workload
 __all__ = [
     "BenchConfig",
     "OBS_OVERHEAD_BUDGET",
+    "failed_verdicts",
     "run_bench",
     "summarize",
     "write_results",
@@ -890,6 +891,26 @@ def run_bench(
         "observability": observability_rows,
         "notes": notes,
     }
+
+
+#: Row verdicts that fail ``repro bench``.  ``ok`` is deliberately absent:
+#: the mutated-locking ``spec_compile`` row is meant to find a violation.
+GATED_VERDICTS = ("bit_identical", "within_budget")
+
+
+def failed_verdicts(results: Dict[str, Any]) -> List[str]:
+    """``"<stage> <label>: <verdict>"`` for every gated verdict that is false."""
+    failures = []
+    for stage, rows in results.items():
+        if not isinstance(rows, list):
+            continue
+        for row in rows:
+            if not isinstance(row, dict):
+                continue
+            for verdict in GATED_VERDICTS:
+                if row.get(verdict) is False:
+                    failures.append(f"{stage} {row.get('label', '?')}: {verdict}")
+    return failures
 
 
 def write_results(results: Dict[str, Any], path: str) -> None:

@@ -485,7 +485,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_obs_arguments(gen_p)
 
     bench_p = sub.add_parser(
-        "bench", help="time all engines x worker counts; write BENCH_results.json"
+        "bench",
+        help="time all engines x worker counts; write BENCH_results.json",
+        description="Time all engines x worker counts and write the results. "
+        "Exits 1 when any row's bit_identical or within_budget verdict is false.",
     )
     bench_p.add_argument(
         "--out",
@@ -1088,7 +1091,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     bench_module.write_results(results, args.out)
     print(bench_module.summarize(results))
     print(f"results written to {args.out}")
-    return 0
+    failures = bench_module.failed_verdicts(results)
+    for failure in failures:
+        print(f"bench: FAILED {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 _COMMANDS = {

@@ -140,7 +140,7 @@ class LogEvent:
 
 def encode_value(value: Any) -> Any:
     """Render a frozen TLA value as JSON-serializable data."""
-    if value == NULL:
+    if value is NULL:
         return {"__null__": True}
     if isinstance(value, Record):
         return {name: encode_value(item) for name, item in value.items()}

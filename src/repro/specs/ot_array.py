@@ -161,7 +161,7 @@ def _propose(kind: str):
         if any(synced):
             return  # integration started: later ops would not be concurrent
         for site in SITES:
-            if ops[site] != NULL:
+            if ops[site] is not NULL:
                 continue
             for op in _local_ops(kind, arrays[site], site):
                 yield {
@@ -177,10 +177,10 @@ def _integrate(state: State) -> Iterator[Dict[str, Any]]:
     arrays, ops, synced = state["arrays"], state["ops"], state["synced"]
     for site in SITES:
         other = 1 - site
-        if synced[site] or ops[other] == NULL:
+        if synced[site] or ops[other] is NULL:
             continue
         remote = ops[other]
-        if ops[site] != NULL:
+        if ops[site] is not NULL:
             applied = transform(remote, ops[site], op_has_priority=other < site)
         else:
             applied = remote
@@ -195,7 +195,7 @@ def _convergence(state: State) -> bool:
     arrays, ops, synced = state["arrays"], state["ops"], state["synced"]
     for site in SITES:
         other = 1 - site
-        if ops[other] != NULL and not synced[site]:
+        if ops[other] is not NULL and not synced[site]:
             return True  # still mid-merge: nothing to assert yet
     return arrays[0] == arrays[1]
 

@@ -30,6 +30,7 @@ either :data:`~repro.tla.values.NULL` or such a record.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..tla import (
@@ -69,8 +70,11 @@ def entry(term: int, index: int) -> Record:
 
 def entry_order_key(item: Any) -> Tuple[int, int]:
     """Total order on commit points / oplog entries: (term, index), NULL lowest."""
-    if item == NULL or item is None:
+    if item is NULL or item is None:
         return (-1, -1)
+    if type(item) is Record:
+        lookup = item._lookup
+        return (lookup["term"], lookup["index"])
     return (item["term"], item["index"])
 
 
@@ -100,11 +104,12 @@ class RaftMongoConfig:
         """The configuration the paper model-checks: 3 nodes, 3 terms, 3 entries."""
         return cls(n_nodes=3, max_term=3, max_log_len=3, variant=variant)
 
-    @property
+    # Cached: every action and invariant reads these per state.
+    @cached_property
     def nodes(self) -> range:
         return range(self.n_nodes)
 
-    @property
+    @cached_property
     def majority(self) -> int:
         return self.n_nodes // 2 + 1
 
@@ -127,27 +132,29 @@ def initial_state_dict(config: RaftMongoConfig) -> Dict[str, Any]:
 
 # ---------------------------------------------------------------------------
 # Helpers shared by the actions
+#
+# Actions and invariants read each state slot once, up front, and hand the
+# slot values (not the state) to these helpers.  ``term`` is the ``term``
+# slot: one global number in the original variant, a per-node tuple in mbtc.
 # ---------------------------------------------------------------------------
 
 
-def _term_of(state: State, node: int, config: RaftMongoConfig) -> int:
+def _term_of(term: Any, node: int, config: RaftMongoConfig) -> int:
     if config.variant == "original":
-        return state["term"]
-    return state["term"][node]
+        return term
+    return term[node]
 
 
-def _set_term(state: State, node: int, value: int, config: RaftMongoConfig) -> Any:
+def _set_term(term: Any, node: int, value: int, config: RaftMongoConfig) -> Any:
     if config.variant == "original":
         return value
-    terms = list(state["term"])
-    terms[node] = value
-    return tuple(terms)
+    return _replace(term, node, value)
 
 
-def _max_known_term(state: State, config: RaftMongoConfig) -> int:
+def _max_known_term(term: Any, config: RaftMongoConfig) -> int:
     if config.variant == "original":
-        return state["term"]
-    return max(state["term"])
+        return term
+    return max(term)
 
 
 def _replace(seq: Sequence[Any], index: int, value: Any) -> Tuple[Any, ...]:
@@ -164,25 +171,23 @@ def _last_entry(oplog: Sequence[Any]) -> Any:
     return oplog[-1] if oplog else NULL
 
 
-def _more_up_to_date(a_log: Sequence[Any], b_log: Sequence[Any]) -> bool:
-    """Raft's log comparison: is ``a_log`` strictly more up to date than ``b_log``?"""
-    return entry_order_key(_last_entry(a_log)) > entry_order_key(_last_entry(b_log))
+def _last_key(oplog: Sequence[Any]) -> Tuple[int, int]:
+    """Raft's "up to date" measure of a log: the order key of its last entry."""
+    return entry_order_key(oplog[-1]) if oplog else (-1, -1)
 
 
-def _at_least_as_up_to_date(a_log: Sequence[Any], b_log: Sequence[Any]) -> bool:
-    return entry_order_key(_last_entry(a_log)) >= entry_order_key(_last_entry(b_log))
-
-
-def _majority_committed_index(state: State, leader: int, config: RaftMongoConfig) -> int:
+def _majority_committed_index(
+    oplog: Sequence[Any], leader: int, config: RaftMongoConfig
+) -> int:
     """Largest oplog index replicated (as a prefix of the leader's log) by a majority."""
-    leader_log = state["oplog"][leader]
+    leader_log = oplog[leader]
+    nodes = config.nodes
+    majority = config.majority
     best = 0
     for idx in range(1, len(leader_log) + 1):
         prefix = leader_log[:idx]
-        holders = sum(
-            1 for node in config.nodes if _is_prefix(prefix, state["oplog"][node])
-        )
-        if holders >= config.majority:
+        holders = sum(1 for node in nodes if _is_prefix(prefix, oplog[node]))
+        if holders >= majority:
             best = idx
     return best
 
@@ -194,42 +199,48 @@ def _majority_committed_index(state: State, leader: int, config: RaftMongoConfig
 
 def _client_write(state: State, config: RaftMongoConfig) -> Iterator[Dict[str, Any]]:
     """ClientWrite: a leader executes a write, appending an entry to its oplog."""
+    roles, term, oplog = state["role"], state["term"], state["oplog"]
     for node in config.nodes:
-        if state["role"][node] != LEADER:
+        if roles[node] != LEADER:
             continue
-        log = state["oplog"][node]
+        log = oplog[node]
         if len(log) >= config.max_log_len:
             continue
-        new_entry = entry(_term_of(state, node, config), len(log) + 1)
-        yield {"oplog": _replace(state["oplog"], node, log + (new_entry,))}
+        new_entry = entry(_term_of(term, node, config), len(log) + 1)
+        yield {"oplog": _replace(oplog, node, log + (new_entry,))}
 
 
 def _append_oplog(state: State, config: RaftMongoConfig) -> Iterator[Dict[str, Any]]:
     """AppendOplog: a node pulls the next missing entry from any other node."""
-    for receiver in config.nodes:
-        receiver_log = state["oplog"][receiver]
-        for sender in config.nodes:
+    oplog = state["oplog"]
+    nodes = config.nodes
+    for receiver in nodes:
+        receiver_log = oplog[receiver]
+        for sender in nodes:
             if sender == receiver:
                 continue
-            sender_log = state["oplog"][sender]
+            sender_log = oplog[sender]
             if len(sender_log) > len(receiver_log) and _is_prefix(receiver_log, sender_log):
                 appended = receiver_log + (sender_log[len(receiver_log)],)
-                yield {"oplog": _replace(state["oplog"], receiver, appended)}
+                yield {"oplog": _replace(oplog, receiver, appended)}
 
 
 def _rollback_oplog(state: State, config: RaftMongoConfig) -> Iterator[Dict[str, Any]]:
     """RollbackOplog: a node with a divergent oplog removes its last entry."""
-    for receiver in config.nodes:
-        receiver_log = state["oplog"][receiver]
+    oplog = state["oplog"]
+    nodes = config.nodes
+    for receiver in nodes:
+        receiver_log = oplog[receiver]
         if not receiver_log:
             continue
-        for sender in config.nodes:
+        receiver_key = _last_key(receiver_log)
+        for sender in nodes:
             if sender == receiver:
                 continue
-            sender_log = state["oplog"][sender]
+            sender_log = oplog[sender]
             diverged = not _is_prefix(receiver_log, sender_log)
-            if diverged and _more_up_to_date(sender_log, receiver_log):
-                yield {"oplog": _replace(state["oplog"], receiver, receiver_log[:-1])}
+            if diverged and _last_key(sender_log) > receiver_key:
+                yield {"oplog": _replace(oplog, receiver, receiver_log[:-1])}
 
 
 def _become_primary_by_magic(
@@ -242,31 +253,30 @@ def _become_primary_by_magic(
     one greater than any term in the system.  All other nodes become
     followers, preserving the spec's at-most-one-leader assumption.
     """
-    new_term = _max_known_term(state, config) + 1
+    term = state["term"]
+    new_term = _max_known_term(term, config) + 1
     if new_term > config.max_term:
         return
-    for candidate in config.nodes:
-        up_to_date_count = sum(
-            1
-            for node in config.nodes
-            if _at_least_as_up_to_date(state["oplog"][candidate], state["oplog"][node])
-        )
+    nodes = config.nodes
+    last_keys = [_last_key(log) for log in state["oplog"]]
+    for candidate in nodes:
+        candidate_key = last_keys[candidate]
+        up_to_date_count = sum(1 for node in nodes if candidate_key >= last_keys[node])
         if up_to_date_count < config.majority:
             continue
-        roles = tuple(
-            LEADER if node == candidate else FOLLOWER for node in config.nodes
-        )
+        roles = tuple(LEADER if node == candidate else FOLLOWER for node in nodes)
         yield {
             "role": roles,
-            "term": _set_term(state, candidate, new_term, config),
+            "term": _set_term(term, candidate, new_term, config),
         }
 
 
 def _stepdown(state: State, config: RaftMongoConfig) -> Iterator[Dict[str, Any]]:
     """Stepdown: a leader voluntarily becomes a follower."""
+    roles = state["role"]
     for node in config.nodes:
-        if state["role"][node] == LEADER:
-            yield {"role": _replace(state["role"], node, FOLLOWER)}
+        if roles[node] == LEADER:
+            yield {"role": _replace(roles, node, FOLLOWER)}
 
 
 def _advance_commit_point(
@@ -278,52 +288,56 @@ def _advance_commit_point(
     majority of nodes have replicated; optionally (the real protocol's rule)
     the entry must be from the leader's current term.
     """
+    roles, term = state["role"], state["term"]
+    commit_points, oplog = state["commitPoint"], state["oplog"]
     for leader in config.nodes:
-        if state["role"][leader] != LEADER:
+        if roles[leader] != LEADER:
             continue
-        index = _majority_committed_index(state, leader, config)
+        index = _majority_committed_index(oplog, leader, config)
         if index == 0:
             continue
-        candidate = state["oplog"][leader][index - 1]
+        candidate = oplog[leader][index - 1]
         if (
             config.advance_requires_current_term
-            and candidate["term"] != _term_of(state, leader, config)
+            and candidate["term"] != _term_of(term, leader, config)
         ):
             continue
-        if entry_order_key(candidate) <= entry_order_key(state["commitPoint"][leader]):
+        if entry_order_key(candidate) <= entry_order_key(commit_points[leader]):
             continue
-        yield {"commitPoint": _replace(state["commitPoint"], leader, candidate)}
+        yield {"commitPoint": _replace(commit_points, leader, candidate)}
 
 
 def _update_term_through_heartbeat(
     state: State, config: RaftMongoConfig
 ) -> Iterator[Dict[str, Any]]:
     """UpdateTermThroughHeartbeat: a node learns a newer election term (mbtc variant)."""
-    for receiver in config.nodes:
-        for sender in config.nodes:
+    terms, roles = state["term"], state["role"]
+    nodes = config.nodes
+    for receiver in nodes:
+        for sender in nodes:
             if sender == receiver:
                 continue
-            sender_term = state["term"][sender]
-            if sender_term > state["term"][receiver]:
-                updates: Dict[str, Any] = {
-                    "term": _replace(state["term"], receiver, sender_term)
-                }
-                if state["role"][receiver] == LEADER:
+            sender_term = terms[sender]
+            if sender_term > terms[receiver]:
+                updates: Dict[str, Any] = {"term": _replace(terms, receiver, sender_term)}
+                if roles[receiver] == LEADER:
                     # Learning a newer term forces a leader to step down.
-                    updates["role"] = _replace(state["role"], receiver, FOLLOWER)
+                    updates["role"] = _replace(roles, receiver, FOLLOWER)
                 yield updates
 
 
 def _learn_commit_point(state: State, config: RaftMongoConfig) -> Iterator[Dict[str, Any]]:
     """LearnCommitPoint (original variant): a node copies any newer commit point."""
-    for receiver in config.nodes:
-        for sender in config.nodes:
+    commit_points = state["commitPoint"]
+    keys = [entry_order_key(point) for point in commit_points]
+    nodes = config.nodes
+    for receiver in nodes:
+        for sender in nodes:
             if sender == receiver:
                 continue
-            sender_cp = state["commitPoint"][sender]
-            if entry_order_key(sender_cp) > entry_order_key(state["commitPoint"][receiver]):
+            if keys[sender] > keys[receiver]:
                 yield {
-                    "commitPoint": _replace(state["commitPoint"], receiver, sender_cp)
+                    "commitPoint": _replace(commit_points, receiver, commit_points[sender])
                 }
 
 
@@ -331,20 +345,21 @@ def _learn_commit_point_with_term_check(
     state: State, config: RaftMongoConfig
 ) -> Iterator[Dict[str, Any]]:
     """LearnCommitPointWithTermCheck: learn a newer commit point in the same term."""
-    for receiver in config.nodes:
-        for sender in config.nodes:
+    term, commit_points = state["term"], state["commitPoint"]
+    keys = [entry_order_key(point) for point in commit_points]
+    nodes = config.nodes
+    for receiver in nodes:
+        for sender in nodes:
             if sender == receiver:
                 continue
-            sender_cp = state["commitPoint"][sender]
-            if sender_cp == NULL:
+            sender_cp = commit_points[sender]
+            if sender_cp is NULL:
                 continue
-            if entry_order_key(sender_cp) <= entry_order_key(
-                state["commitPoint"][receiver]
-            ):
+            if keys[sender] <= keys[receiver]:
                 continue
-            if sender_cp["term"] != _term_of(state, receiver, config):
+            if sender_cp["term"] != _term_of(term, receiver, config):
                 continue
-            yield {"commitPoint": _replace(state["commitPoint"], receiver, sender_cp)}
+            yield {"commitPoint": _replace(commit_points, receiver, sender_cp)}
 
 
 def _learn_commit_point_from_sync_source(
@@ -358,25 +373,26 @@ def _learn_commit_point_from_sync_source(
     prefix of the sync source's keeps the learned commit point on the
     committed line of history.
     """
-    for receiver in config.nodes:
-        receiver_log = state["oplog"][receiver]
+    commit_points, oplog = state["commitPoint"], state["oplog"]
+    nodes = config.nodes
+    for receiver in nodes:
+        receiver_log = oplog[receiver]
         last_applied = _last_entry(receiver_log)
-        if last_applied == NULL:
+        if last_applied is NULL:
             continue
-        for sender in config.nodes:
+        receiver_key = entry_order_key(commit_points[receiver])
+        for sender in nodes:
             if sender == receiver:
                 continue
-            if not _is_prefix(receiver_log, state["oplog"][sender]):
+            if not _is_prefix(receiver_log, oplog[sender]):
                 continue
-            sender_cp = state["commitPoint"][sender]
-            if sender_cp == NULL:
+            sender_cp = commit_points[sender]
+            if sender_cp is NULL:
                 continue
             learned = min((sender_cp, last_applied), key=entry_order_key)
-            if entry_order_key(learned) <= entry_order_key(
-                state["commitPoint"][receiver]
-            ):
+            if entry_order_key(learned) <= receiver_key:
                 continue
-            yield {"commitPoint": _replace(state["commitPoint"], receiver, learned)}
+            yield {"commitPoint": _replace(commit_points, receiver, learned)}
 
 
 # ---------------------------------------------------------------------------
@@ -391,23 +407,29 @@ def _committed_entries_in_majority(state: State, config: RaftMongoConfig) -> boo
     its original index, in a majority of oplogs.  If a committed entry were
     rolled back anywhere it could drop below majority, violating this.
     """
-    for node in config.nodes:
-        commit_point = state["commitPoint"][node]
-        if commit_point == NULL:
+    commit_points, oplog = state["commitPoint"], state["oplog"]
+    nodes = config.nodes
+    for node in nodes:
+        commit_point = commit_points[node]
+        if commit_point is NULL:
             continue
-        for index in range(1, commit_point["index"] + 1):
+        cp_index = commit_point["index"]
+        cp_key = entry_order_key(commit_point)
+        # Logs holding the committed entry at its index; each is at least
+        # cp_index long, so every index below reads in bounds.
+        holding = [
+            log
+            for log in (oplog[other] for other in nodes)
+            if len(log) >= cp_index and entry_order_key(log[cp_index - 1]) == cp_key
+        ]
+        for index in range(1, cp_index + 1):
             holders = 0
             witness = None
-            for other in config.nodes:
-                log = state["oplog"][other]
-                if len(log) >= commit_point["index"] and entry_order_key(
-                    log[commit_point["index"] - 1]
-                ) == entry_order_key(commit_point):
-                    if len(log) >= index:
-                        if witness is None:
-                            witness = log[index - 1]
-                        if log[index - 1] == witness:
-                            holders += 1
+            for log in holding:
+                if witness is None:
+                    witness = log[index - 1]
+                if log[index - 1] == witness:
+                    holders += 1
             if holders < config.majority:
                 return False
     return True
@@ -420,12 +442,13 @@ def _committed_prefixes_consistent(state: State, config: RaftMongoConfig) -> boo
     will catch up later), so only nodes whose own oplog actually contains the
     committed entry contribute a committed prefix to the comparison.
     """
+    commit_points, oplog = state["commitPoint"], state["oplog"]
     prefixes: List[Tuple[Any, ...]] = []
     for node in config.nodes:
-        commit_point = state["commitPoint"][node]
-        if commit_point == NULL:
+        commit_point = commit_points[node]
+        if commit_point is NULL:
             continue
-        log = state["oplog"][node]
+        log = oplog[node]
         index = commit_point["index"]
         if len(log) < index or log[index - 1] != commit_point:
             continue
@@ -439,11 +462,14 @@ def _committed_prefixes_consistent(state: State, config: RaftMongoConfig) -> boo
 
 def _log_matching(state: State, config: RaftMongoConfig) -> bool:
     """If two oplogs contain the same entry, their prefixes up to it are equal."""
-    for a in config.nodes:
-        for b in config.nodes:
+    oplog = state["oplog"]
+    nodes = config.nodes
+    for a in nodes:
+        log_a = oplog[a]
+        for b in nodes:
             if b <= a:
                 continue
-            log_a, log_b = state["oplog"][a], state["oplog"][b]
+            log_b = oplog[b]
             for index in range(min(len(log_a), len(log_b)), 0, -1):
                 if log_a[index - 1] == log_b[index - 1]:
                     if log_a[:index] != log_b[:index]:
@@ -454,12 +480,14 @@ def _log_matching(state: State, config: RaftMongoConfig) -> bool:
 
 def _at_most_one_leader(state: State, config: RaftMongoConfig) -> bool:
     """The spec's simplifying assumption called out in paper Section 4.2.2."""
-    return sum(1 for node in config.nodes if state["role"][node] == LEADER) <= 1
+    roles = state["role"]
+    return sum(1 for node in config.nodes if roles[node] == LEADER) <= 1
 
 
 def _commit_point_propagated(state: State, config: RaftMongoConfig) -> bool:
     """All nodes know the same, newest, commit point."""
-    points = {entry_order_key(state["commitPoint"][node]) for node in config.nodes}
+    commit_points = state["commitPoint"]
+    points = {entry_order_key(commit_points[node]) for node in config.nodes}
     return len(points) == 1
 
 

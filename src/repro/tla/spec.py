@@ -17,8 +17,9 @@ variables); unmentioned variables are left unchanged, mirroring TLA+'s
 from __future__ import annotations
 
 import inspect
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import EvaluationError, SpecError
 from .state import State, VariableSchema
@@ -60,7 +61,9 @@ class Action:
             return []
         results: List[State] = []
         for item in produced:
-            if isinstance(item, State):
+            if type(item) is dict:
+                results.append(state.with_updates(**item))
+            elif isinstance(item, State):
                 results.append(item)
             elif isinstance(item, Mapping):
                 results.append(state.with_updates(**item))
@@ -90,7 +93,7 @@ class Action:
         if produced is None:
             return False
         for item in produced:
-            if isinstance(item, (State, Mapping)):
+            if type(item) is dict or isinstance(item, (State, Mapping)):
                 return True
             raise EvaluationError(
                 f"action {self.name!r} produced {type(item).__name__}; "

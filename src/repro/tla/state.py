@@ -82,7 +82,12 @@ class State(Mapping[str, Any]):
 
     # Mapping interface -------------------------------------------------------
     def __getitem__(self, name: str) -> Any:
-        return self.values[self.schema.index_of(name)]
+        # Specs read slots on every successor: one dict probe, and
+        # ``index_of`` only to raise its SpecError for an unknown name.
+        try:
+            return self.values[self.schema._index[name]]
+        except KeyError:
+            return self.values[self.schema.index_of(name)]
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.schema.names)

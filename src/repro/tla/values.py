@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import struct
 import zlib
+from collections.abc import Mapping
 from itertools import islice
-from typing import Any, Iterable, Iterator, Mapping, Tuple
+from typing import Any, Iterable, Iterator, Tuple
 
 __all__ = [
     "NULL",
@@ -61,7 +62,9 @@ class _Null:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _Null)
 
-    def __reduce__(self):  # pragma: no cover - pickling support
+    def __reduce__(self):
+        # Unpickling and deepcopy rebuild through ``_Null()``, which returns
+        # the singleton: specs rely on ``value is NULL``.
         return (_Null, ())
 
 
@@ -107,6 +110,13 @@ class Record(Mapping[str, Any]):
         return self._hash
 
     def __eq__(self, other: object) -> bool:
+        # Exact-type tests first: ``isinstance`` against the ``Mapping`` ABC
+        # is several times dearer, and specs compare records to records and
+        # to NULL on every successor.
+        if type(other) is Record:
+            return self._items == other._items
+        if other is NULL:
+            return False
         if isinstance(other, Record):
             return self._items == other._items
         if isinstance(other, Mapping):
@@ -213,6 +223,12 @@ class Record(Mapping[str, Any]):
         return {name: thaw(value) for name, value in self._items}
 
 
+#: Exact types :func:`freeze` returns unchanged.  ``Record`` values are
+#: frozen by construction.  Subclasses (a ``str`` enum, say) miss this set
+#: and take the general ``isinstance`` path below.
+_FROZEN_LEAVES = frozenset((str, int, float, bool, bytes, type(None), _Null, Record))
+
+
 def freeze(value: Any) -> Any:
     """Return a canonical hashable version of ``value``.
 
@@ -220,6 +236,21 @@ def freeze(value: Any) -> Any:
     :class:`Record` when all keys are strings (and sorted key/value tuples
     otherwise).  Already-hashable values are returned unchanged.
     """
+    tp = type(value)
+    if tp in _FROZEN_LEAVES:
+        return value
+    if tp is tuple:
+        # Already-frozen fast path: returning the original tuple keeps
+        # object identity, so fingerprint memo entries and Record._fp
+        # caches attached to the shared value stay shared across states.
+        for item in value:
+            if type(item) not in _FROZEN_LEAVES:
+                break
+        else:
+            return value
+    elif tp is dict:
+        if all(type(key) is str for key in value):
+            return Record(value)
     if isinstance(value, (str, int, float, bool, bytes, _Null)) or value is None:
         return value
     if isinstance(value, Record):
@@ -240,9 +271,6 @@ def freeze(value: Any) -> Any:
         if type(value) is tuple and all(
             new is old for new, old in zip(frozen_items, value)
         ):
-            # Already-frozen fast path: returning the original tuple keeps
-            # object identity, so fingerprint memo entries and Record._fp
-            # caches attached to the shared value stay shared across states.
             return value
         return tuple(frozen_items)
     if hasattr(value, "__hash__") and value.__hash__ is not None:

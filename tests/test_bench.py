@@ -5,7 +5,14 @@ import os
 
 import pytest
 
-from repro.pipeline.bench import BenchConfig, run_bench, summarize, write_results
+from repro.pipeline import bench as bench_module
+from repro.pipeline.bench import (
+    BenchConfig,
+    failed_verdicts,
+    run_bench,
+    summarize,
+    write_results,
+)
 from repro.pipeline.cli import main
 
 
@@ -164,9 +171,12 @@ def test_cli_bench_smoke_writes_json(tmp_path, capsys):
     code = main(
         ["bench", "--smoke", "--out", str(out), "--workers-list", "1,2", "--traces", "20"]
     )
-    assert code == 0
     assert os.path.exists(out)
     payload = json.loads(out.read_text())
+    # Every parity verdict holds; the exit code then tracks the one timing
+    # verdict (the observability overhead budget), which load can trip.
+    assert not [f for f in failed_verdicts(payload) if f.endswith("bit_identical")]
+    assert code == (1 if failed_verdicts(payload) else 0)
     assert payload["environment"]["smoke"] is True
     assert payload["trace_checking"][0]["traces"] == 20
     assert f"results written to {out}" in capsys.readouterr().out
@@ -175,3 +185,46 @@ def test_cli_bench_smoke_writes_json(tmp_path, capsys):
 def test_cli_bench_rejects_bad_worker_list(capsys):
     assert main(["bench", "--workers-list", "1,x"]) == 2
     assert main(["bench", "--workers-list", "0"]) == 2
+
+
+def _clean_results(smoke_results):
+    """A deep copy with the load-sensitive overhead verdict forced to pass."""
+    clean = json.loads(json.dumps(smoke_results))
+    for row in clean["observability"]:
+        row["within_budget"] = True
+    return clean
+
+
+@pytest.mark.parametrize(
+    "stage,verdict",
+    [
+        ("chaos", "bit_identical"),
+        ("store_scaling", "bit_identical"),
+        ("spec_compile", "bit_identical"),
+        ("observability", "within_budget"),
+    ],
+)
+def test_cli_bench_fails_on_a_failed_verdict(
+    monkeypatch, tmp_path, capsys, smoke_results, stage, verdict
+):
+    doctored = _clean_results(smoke_results)
+    doctored[stage][0][verdict] = False
+    monkeypatch.setattr(bench_module, "run_bench", lambda config, progress=None: doctored)
+    out = tmp_path / "bench.json"
+    assert main(["bench", "--smoke", "--out", str(out)]) == 1
+    label = doctored[stage][0]["label"]
+    assert f"FAILED {stage} {label}: {verdict}" in capsys.readouterr().err
+    # The document is still written, so CI can upload the failing run.
+    assert json.loads(out.read_text())[stage][0][verdict] is False
+
+
+def test_cli_bench_passes_when_every_verdict_holds(
+    monkeypatch, tmp_path, smoke_results
+):
+    clean = _clean_results(smoke_results)
+    # The mutated-locking compile row finds a violation (ok is false); that
+    # is its purpose and must not fail the bench.
+    assert any(not row["ok"] for row in clean["spec_compile"])
+    assert failed_verdicts(clean) == []
+    monkeypatch.setattr(bench_module, "run_bench", lambda config, progress=None: clean)
+    assert main(["bench", "--smoke", "--out", str(tmp_path / "bench.json")]) == 0

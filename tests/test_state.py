@@ -55,6 +55,11 @@ class TestState:
         assert state["term"] == 1
         assert state.with_updates() is state
 
+    def test_reading_an_undeclared_variable_is_a_spec_error(self, schema):
+        state = State(schema, {"role": "Leader", "term": 1})
+        with pytest.raises(SpecError, match="unknown variable 'oplog'"):
+            state["oplog"]
+
     def test_mapping_interface(self, schema):
         state = State(schema, {"role": "Leader", "term": 1})
         assert dict(state) == {"role": "Leader", "term": 1}

@@ -1,7 +1,10 @@
 """Unit tests for the TLA+ value universe (repro.tla.values)."""
 
+import copy
+import pickle
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -18,6 +21,12 @@ class TestNull:
         assert hash(NULL) == hash(type(NULL)())
         assert NULL != "NULL" and NULL != 0 and NULL is not None
 
+    def test_pickle_and_deepcopy_return_the_singleton(self):
+        # Specs test ``value is NULL``; a copied NULL must still pass it.
+        assert pickle.loads(pickle.dumps(NULL)) is NULL
+        assert copy.deepcopy(NULL) is NULL
+        assert copy.deepcopy((NULL, Record(cp=NULL)))[1]["cp"] is NULL
+
 
 class TestRecord:
     def test_records_compare_and_hash_by_value(self):
@@ -29,6 +38,13 @@ class TestRecord:
 
     def test_record_equals_plain_mapping(self):
         assert Record(x=1) == {"x": 1}
+        assert {"x": 1} == Record(x=1)
+        assert Record(x=1) != {"x": 2} and {"x": 2} != Record(x=1)
+        assert Record(x=1) == types.MappingProxyType({"x": 1})
+
+    def test_record_never_equals_null(self):
+        assert Record(x=1) != NULL and NULL != Record(x=1)
+        assert not (Record(x=1) == NULL)
 
     def test_attribute_and_item_access(self):
         rec = Record(term=3, index=7)
@@ -61,6 +77,25 @@ class TestFreezeThaw:
         frozen = freeze({"a": [1, 2], "b": {"c": "x"}})
         assert thaw(frozen) == {"a": [1, 2], "b": {"c": "x"}}
 
+    def test_freeze_converts_lists_nested_in_tuples(self):
+        frozen = freeze((1, [2, [3]], Record(x=1)))
+        assert frozen == (1, (2, (3,)), Record(x=1))
+        assert type(frozen[1]) is tuple and type(frozen[1][1]) is tuple
+
+    def test_freeze_converts_non_dict_mappings(self):
+        proxy = types.MappingProxyType({"a": [1], "b": {"c": 2}})
+        frozen = freeze(proxy)
+        assert type(frozen) is Record
+        assert frozen == Record(a=(1,), b=Record(c=2))
+        assert freeze(types.MappingProxyType({1: "x"})) == ((1, "x"),)
+
+    def test_freeze_keeps_identity_of_frozen_values(self):
+        flat = (1, "a", None, NULL, True, 1.5, b"x", Record(x=1))
+        nested = (flat, ((), (Record(y=(2,)),)))
+        record = Record(x=(1, 2))
+        for value in (flat, nested, record, frozenset({1, (2,)}), ()):
+            assert freeze(value) is value
+
     def test_freeze_rejects_unhashable_leaves(self):
         class Unhashable:
             __hash__ = None
@@ -91,6 +126,13 @@ class TestFingerprint:
         assert len(set(prints)) == len(prints)
         for value in samples:
             assert 0 <= fingerprint(value) < 2**96
+
+    def test_equal_primitives_of_different_type_stay_distinct(self):
+        # True == 1 == 1.0 in Python; their fingerprints must not alias.
+        prints = {fingerprint(True), fingerprint(1), fingerprint(1.0)}
+        assert len(prints) == 3
+        nested = {fingerprint((True,)), fingerprint((1,)), fingerprint((1.0,))}
+        assert len(nested) == 3
 
     def test_equal_values_share_a_fingerprint(self):
         assert fingerprint({"a": [1, 2]}) == fingerprint(Record(a=(1, 2)))
