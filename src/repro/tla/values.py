@@ -251,9 +251,7 @@ def freeze(value: Any) -> Any:
     elif tp is dict:
         if all(type(key) is str for key in value):
             return Record(value)
-    if isinstance(value, (str, int, float, bool, bytes, _Null)) or value is None:
-        return value
-    if isinstance(value, Record):
+    if isinstance(value, (str, int, float, bool, bytes, _Null, Record)):
         return value
     if isinstance(value, Mapping):
         if all(isinstance(key, str) for key in value):

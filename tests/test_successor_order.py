@@ -15,8 +15,8 @@ explores first.  These tests pin the closures themselves:
 
 Neither configuration has a counterexample: the BFS asserts that no
 reachable state violates an invariant.  The golden digests were recorded
-from the spec as first written; fingerprints are CRC-based and stable
-across processes, so the digests are too.
+from the closures before their slot-hoisting fast paths; fingerprints are
+CRC-based and stable across processes, so the digests are too.
 """
 
 import hashlib
