@@ -9,7 +9,7 @@ that form per state:
 * **fixed-slot tuple states** -- kernels operate on schema-indexed value
   tuples; real ``State`` objects are built only at boundaries (replay,
   graph retention, checkpoints, store snapshots), which therefore stay
-  bit-identical to the interpreted path;
+  bit-identical whichever kernel ran;
 * **precomputed per-slot fingerprint layout** -- a successor's fingerprint
   is spliced from the parent's per-slot fingerprints, never re-walking
   unchanged variables (:mod:`repro.compile.interner`);
@@ -18,12 +18,18 @@ that form per state:
   kernels (:mod:`repro.compile.native_locking`), everything else the
   generic interning driver (:mod:`repro.compile.kernels`);
 * **specialized invariant/constraint evaluators** -- fingerprint-memoized
-  verdicts with the interpreted path's exact cap and eviction policy.
+  verdicts with the reference kernel's exact cap and eviction policy.
+
+A :class:`CompiledSpec` is a *kernel*: it has the surface of the reference
+:class:`repro.engine.base.InterpretedKernel` (``expand`` and
+``verdict_for`` over value tuples), and engines run whichever kernel the
+coordinator installs on their context without branching on it.
 
 Entry point: :func:`compile_spec`, called by
-:class:`repro.engine.core.ModelChecker` per the ``--compile on|off|auto``
-policy.  ``auto`` (the default) falls back to interpretation if compilation
-raises; ``on`` turns a :class:`CompileError` into a run failure.
+:class:`repro.engine.core.ModelChecker` (and by each parallel pool worker)
+per the ``--compile on|off|auto`` policy.  ``auto`` (the default) falls back
+to the interpreted reference kernel if compilation raises; ``on`` turns a
+:class:`CompileError` into a run failure.
 """
 
 from __future__ import annotations

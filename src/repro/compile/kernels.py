@@ -1,48 +1,44 @@
 """CompiledSpec: the specialized executable form of a specification.
 
-A :class:`CompiledSpec` is what the engines run instead of interpreting the
-spec per state.  Its core surface is two functions over *value tuples* (the
-fixed-slot, schema-indexed state representation -- no dict lookups, no
-``State`` allocation on the hot path):
+A :class:`CompiledSpec` is a *kernel*, the one seam every engine expands
+states through, and an alternative to the reference
+:class:`~repro.engine.base.InterpretedKernel`.  Its surface is the
+reference kernel's: two functions over *value tuples* (the fixed-slot,
+schema-indexed state representation -- no dict lookups, no ``State``
+allocation on the hot path):
 
 ``expand(values)``
     The fused guard+update successor kernel: one call yields the complete
     expansion of a state as :data:`~repro.engine.base.SuccessorInfo`
     entries -- ``(action, values, fingerprint, violated invariant,
-    constraint verdict)`` -- the exact wire shape the interpreted
-    :func:`~repro.engine.base.expand_state` produces, so every engine merge
-    loop consumes either interchangeably.
+    constraint verdict)`` -- in the reference kernel's order, so every
+    engine loop consumes either interchangeably.
 
 ``verdict_for(values, fp)``
-    The specialized invariant/constraint evaluator, memoized per
-    fingerprint with the same cap and eviction policy as the interpreted
-    :func:`~repro.engine.base.memoized_verdict`.
+    The invariant/constraint evaluator, memoized per fingerprint with the
+    reference kernel's cap and eviction policy.
 
 Two kernel generators exist: a *native* backend (currently
 :mod:`repro.compile.native_locking`) that compiles the spec's transition
 relation down to exec-generated straight-line code, and the *generic*
 backend in this module, which still calls the spec's action closures but
-replaces everything around them -- freeze walks, state fingerprints,
-invariant dispatch -- with one interning pass and incremental per-slot
-fingerprint splicing (unchanged slots are never re-walked).
+replaces everything around them -- freeze walks and state fingerprints --
+with one interning pass and incremental per-slot fingerprint splicing
+(unchanged slots are never re-walked).  The generic backend evaluates
+verdicts with the reference kernel's own ``verdict_for``.
 
-Boundary fidelity: the adapter also satisfies the interpreted
-``initial_states`` / ``successors`` / ``violated_invariant`` /
-``within_constraint`` surface, converting losslessly to real
-:class:`~repro.tla.state.State` objects, and delegates every other
-attribute to the wrapped spec -- counterexample replay, StateGraph
-retention, checkpoints and store snapshots flow through unchanged code and
-stay bit-identical.
+Everything at the boundaries -- seeding, counterexample replay, StateGraph
+retention, checkpoints and store snapshots -- uses the spec itself, so
+those stay bit-identical whichever kernel ran.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from ..engine.base import VERDICT_MEMO_MAX, SuccessorInfo
+from ..engine.base import InterpretedKernel, SuccessorInfo
 from ..tla.errors import EvaluationError
-from ..tla.spec import Invariant, Specification
+from ..tla.spec import Specification
 from ..tla.state import State
 from .interner import ValueInterner, state_fingerprint
 
@@ -65,24 +61,11 @@ def build_generic_kernels(
     actions = spec.actions
     intern = interner.intern
     slot_fingerprints = interner.slot_fingerprints
-    verdicts: Dict[int, Tuple[Optional[str], bool]] = {}
-    violated_invariant = spec.violated_invariant
-    within_constraint = spec.within_constraint
-
-    def verdict_for(values: Tuple[Any, ...], fp: int) -> Tuple[Optional[str], bool]:
-        cached = verdicts.get(fp)
-        if cached is None:
-            state = State.from_values(schema, values)
-            violated = violated_invariant(state)
-            cached = (
-                None if violated is None else violated.name,
-                within_constraint(state),
-            )
-            if len(verdicts) >= VERDICT_MEMO_MAX:
-                for key in list(islice(verdicts, len(verdicts) // 2)):
-                    del verdicts[key]
-            verdicts[fp] = cached
-        return cached
+    # Verdicts come from the reference kernel, memo and all: the compiled
+    # and interpreted paths cannot disagree on them.
+    reference = InterpretedKernel(spec)
+    verdicts = reference.verdicts
+    verdict_for = reference.verdict_for
 
     def expand(values: Tuple[Any, ...]) -> List[SuccessorInfo]:
         state = State.from_values(schema, values)
@@ -137,13 +120,10 @@ def build_generic_kernels(
 
 
 class CompiledSpec:
-    """A specification specialized into flat compiled form.
+    """A specification specialized into flat compiled form: a kernel.
 
-    Engines use :attr:`expand` / :attr:`verdict_for` on value tuples; code
-    written against the interpreted surface (replay, coverage, graph
-    retention, tests) can use this object wherever a ``Specification`` goes
-    -- the adapter methods convert at the boundary and every unlisted
-    attribute delegates to the wrapped spec.
+    Engines use :attr:`expand` / :attr:`verdict_for` on value tuples, the
+    surface of the reference :class:`~repro.engine.base.InterpretedKernel`.
     """
 
     def __init__(
@@ -160,7 +140,6 @@ class CompiledSpec:
         self.verdict_for = verdict_for
         self.compile_info = dict(info)
         self.interner = interner
-        self._invariants_by_name = {inv.name: inv for inv in spec.invariants}
 
     def __repr__(self) -> str:
         kernel = self.compile_info.get("kernel", "?")
@@ -170,32 +149,3 @@ class CompiledSpec:
     def native(self) -> bool:
         """True when the spec compiled to exec-generated native kernels."""
         return bool(self.compile_info.get("native"))
-
-    # Interpreted-surface adapter --------------------------------------------
-    def initial_states(self) -> List[State]:
-        return self.spec.initial_states()
-
-    def successors(self, state: State) -> List[Tuple[str, State]]:
-        """``Specification.successors`` computed through the compiled kernel."""
-        schema = self.schema
-        return [
-            (name, State.from_values(schema, values))
-            for name, values, _fp, _violated, _within in self.expand(state.values)
-        ]
-
-    def violated_invariant(self, state: State) -> Optional[Invariant]:
-        name, _within = self.verdict_for(state.values, state.fingerprint())
-        if name is None:
-            return None
-        return self._invariants_by_name[name]
-
-    def within_constraint(self, state: State) -> bool:
-        _name, within = self.verdict_for(state.values, state.fingerprint())
-        return within
-
-    def to_state(self, values: Tuple[Any, ...]) -> State:
-        """Lossless conversion of a compiled value tuple to a real state."""
-        return State.from_values(self.schema, values)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self.spec, name)

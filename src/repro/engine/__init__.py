@@ -28,13 +28,19 @@ bounded retry, degrade-to-serial), the level-synchronous BFS engines can
 checkpoint and resume through the store snapshot seam, and a seeded chaos
 layer injects worker faults deterministically for testing all of it.
 
-Spec execution is a fourth seam (:mod:`repro.compile`): by default every
-engine runs the spec's *compiled* form -- fused successor kernels over
-fixed-slot value tuples with precomputed fingerprints and verdicts --
-falling back to interpreting the action closures when compilation is off
-(``compile_mode="off"`` / ``--compile off``) or fails under ``auto``.
-Results are bit-identical either way; the engines branch on
-``CheckContext.compiled`` per state and share all boundary code.
+Spec execution is a fourth seam: every engine expands states through one
+*kernel* on its :class:`~repro.engine.base.CheckContext` --
+``kernel.expand(values)`` for a state's successor entries and
+``kernel.verdict_for(values, fp)`` for invariant/constraint verdicts.
+:class:`~repro.engine.base.InterpretedKernel`, which interprets the spec's
+action closures, is the reference; by default the coordinator installs the
+spec's *compiled* form instead (:mod:`repro.compile`: fused successor
+kernels over fixed-slot value tuples), falling back to the reference when
+compilation is off (``compile_mode="off"`` / ``--compile off``) or fails
+under ``auto``.  No engine loop knows which kernel it runs, so results are
+bit-identical either way.  The two fingerprint engines share one BFS
+driver, :func:`~repro.engine.fingerprint.run_levels`, and differ only in
+how a level is expanded.
 
 :class:`~repro.engine.core.ModelChecker` coordinates: it resolves
 ``engine="auto"``/``store="auto"`` eagerly, validates the combination,
@@ -52,8 +58,8 @@ from .base import (
     CheckContext,
     CheckResult,
     Engine,
+    InterpretedKernel,
     engine_names,
-    expand_state,
     get_engine,
     register_engine,
 )
@@ -86,6 +92,7 @@ __all__ = [
     "Engine",
     "FingerprintEngine",
     "FingerprintSetStore",
+    "InterpretedKernel",
     "ModelChecker",
     "ParallelEngine",
     "STORES",
@@ -97,7 +104,6 @@ __all__ = [
     "check_spec",
     "default_worker_count",
     "engine_names",
-    "expand_state",
     "get_engine",
     "make_store",
     "register_engine",

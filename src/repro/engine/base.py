@@ -5,9 +5,10 @@ An *engine* is one exploration strategy over a specification's state space
 a :class:`CheckContext` -- the spec, the run limits, the visited-state store
 and the shared bookkeeping helpers -- and fills in the context's
 :class:`CheckResult`.  The context owns everything the original monolithic
-checker duplicated across engines: initial-frontier seeding, successor
-expansion with memoized invariant/constraint verdicts, and counterexample
-replay from the fingerprint-keyed parent map.
+checker duplicated across engines: initial-frontier seeding, the
+expansion kernel, and counterexample replay from the fingerprint-keyed
+parent map.  :class:`InterpretedKernel` is the reference expansion kernel;
+compiled kernels (:mod:`repro.compile`) are drop-in alternatives to it.
 
 Engines are classes registered by name (:func:`register_engine`); adding an
 exploration strategy is one module that defines an ``Engine`` subclass and
@@ -35,11 +36,10 @@ __all__ = [
     "CheckContext",
     "CheckResult",
     "Engine",
+    "InterpretedKernel",
     "SuccessorInfo",
     "engine_names",
-    "expand_state",
     "get_engine",
-    "memoized_verdict",
     "register_engine",
 ]
 
@@ -49,61 +49,68 @@ __all__ = [
 #: crosses process boundaries with minimal pickling.
 SuccessorInfo = Tuple[str, Tuple[Any, ...], int, Optional[str], bool]
 
-#: Cap on an expander's invariant/constraint verdict memo (see
-#: :func:`expand_state`); bounds per-process memory on paper-scale runs.
+#: Cap on a kernel's invariant/constraint verdict memo (see
+#: :meth:`InterpretedKernel.verdict_for`); bounds per-process memory on
+#: paper-scale runs.
 VERDICT_MEMO_MAX = 500_000
 
 
-def memoized_verdict(
-    spec: Specification,
-    state: State,
-    fp: int,
-    verdicts: Dict[int, Tuple[Optional[str], bool]],
-) -> Tuple[Optional[str], bool]:
-    """``(violated invariant name, constraint verdict)``, memoized per fingerprint.
+class InterpretedKernel:
+    """The reference kernel: expansion by interpreting the spec's closures.
 
-    Both BFS expansion (:func:`expand_state`) and the simulation engine's
-    walks evaluate invariants once per *generated* state without this memo
-    instead of once per *distinct* state -- a 3-15x multiplier on the
-    benchmarked specs.  Verdicts are deterministic per state, so memoization
-    cannot change results; the memo is capped (oldest half discarded, like
-    ``FingerprintCache``) so it never grows into a second per-process copy
-    of a paper-scale visited set.
+    Every engine expands states through one seam, a *kernel* with two
+    methods over value tuples -- ``expand(values)`` returning the state's
+    :data:`SuccessorInfo` entries in successor order, and ``verdict_for(values,
+    fp)`` returning ``(violated invariant name, constraint verdict)``.  This
+    class defines what both mean; :class:`repro.compile.CompiledSpec` is the
+    specialized alternative with the same surface, and the compiled-vs-
+    interpreted parity suites hold it to this one.  Interpreted and compiled
+    runs therefore share every engine loop, and cannot drift apart there.
+
+    Verdicts are memoized per fingerprint: without the memo invariants are
+    evaluated once per *generated* state instead of once per *distinct*
+    state -- a 3-15x multiplier on the benchmarked specs.  Verdicts are
+    deterministic per state, so memoization cannot change results; the memo
+    is capped (oldest half discarded, like ``FingerprintCache``) so it never
+    grows into a second per-process copy of a paper-scale visited set.
     """
-    cached = verdicts.get(fp)
-    if cached is None:
-        violated = spec.violated_invariant(state)
-        cached = (
-            None if violated is None else violated.name,
-            spec.within_constraint(state),
-        )
-        if len(verdicts) >= VERDICT_MEMO_MAX:
-            for key in list(islice(verdicts, len(verdicts) // 2)):
-                del verdicts[key]
-        verdicts[fp] = cached
-    return cached
 
+    def __init__(self, spec: Specification) -> None:
+        self.spec = spec
+        self.schema = spec.schema
+        self.cache = FingerprintCache()
+        self.verdicts: Dict[int, Tuple[Optional[str], bool]] = {}
 
-def expand_state(
-    spec: Specification,
-    cache: FingerprintCache,
-    state: State,
-    verdicts: Dict[int, Tuple[Optional[str], bool]],
-) -> List[SuccessorInfo]:
-    """Expand one state into successor-info tuples.
+    def expand(self, values: Tuple[Any, ...]) -> List[SuccessorInfo]:
+        """Expand one state into successor-info entries, in successor order."""
+        verdict_for = self.verdict_for
+        entries: List[SuccessorInfo] = []
+        for action_name, nxt in self.spec.successors(
+            State.from_values(self.schema, values)
+        ):
+            nfp = nxt.fingerprint(self.cache)
+            violated, within = verdict_for(nxt.values, nfp)
+            entries.append((action_name, nxt.values, nfp, violated, within))
+        return entries
 
-    This is the single source of truth for what an expansion produces: the
-    fingerprint engine, the parallel engine's pool workers and its inline
-    path (narrow BFS levels) all go through it, so the bit-identical
-    statistics guarantee between them cannot be broken by the paths drifting
-    apart.  ``verdicts`` is this expander's :func:`memoized_verdict` memo.
-    """
-    entries: List[SuccessorInfo] = []
-    for action_name, nxt in spec.successors(state):
-        nfp = nxt.fingerprint(cache)
-        cached = memoized_verdict(spec, nxt, nfp, verdicts)
-        entries.append((action_name, nxt.values, nfp, cached[0], cached[1]))
-    return entries
+    def verdict_for(
+        self, values: Tuple[Any, ...], fp: int
+    ) -> Tuple[Optional[str], bool]:
+        """``(violated invariant name, constraint verdict)``, memoized per ``fp``."""
+        verdicts = self.verdicts
+        cached = verdicts.get(fp)
+        if cached is None:
+            state = State.from_values(self.schema, values)
+            violated = self.spec.violated_invariant(state)
+            cached = (
+                None if violated is None else violated.name,
+                self.spec.within_constraint(state),
+            )
+            if len(verdicts) >= VERDICT_MEMO_MAX:
+                for key in list(islice(verdicts, len(verdicts) // 2)):
+                    del verdicts[key]
+            verdicts[fp] = cached
+        return cached
 
 
 @dataclass
@@ -202,7 +209,7 @@ class CheckContext:
 
     The context is built per run by :class:`repro.engine.core.ModelChecker`
     and handed to the selected engine's :meth:`Engine.run`.  The shared
-    helpers (:meth:`seed_frontier`, :meth:`fp_violation`, :meth:`replay`)
+    helpers (:meth:`start_frontier`, :meth:`fp_violation`, :meth:`replay`)
     are what the three BFS engines used to duplicate as private methods of
     the monolithic checker.
     """
@@ -210,6 +217,12 @@ class CheckContext:
     spec: Specification
     result: CheckResult
     store: Any  # a StateStore (see repro.engine.store)
+    #: The expansion seam: an :class:`InterpretedKernel` or a
+    #: :class:`repro.compile.CompiledSpec`, both offering ``expand`` and
+    #: ``verdict_for`` over value tuples.  Engines expand through it and
+    #: never ask which one it is; the boundaries (seeding, replay,
+    #: checkpoints) use the spec itself.
+    kernel: Any
     collect_graph: bool = False
     check_deadlock: bool = False
     max_states: Optional[int] = None
@@ -220,7 +233,6 @@ class CheckContext:
     walks: int = 100
     walk_depth: int = 50
     seed: int = 0
-    cache: FingerprintCache = field(default_factory=FingerprintCache)
     #: Fingerprint-keyed parent map: ``fp -> (parent fp or None, action)``.
     parents: Dict[int, Tuple[Optional[int], Optional[str]]] = field(
         default_factory=dict
@@ -247,12 +259,6 @@ class CheckContext:
     #: Set by the coordinator when resuming: ``(depth, wire frontier)`` --
     #: the next level to expand and its pending frontier as value tuples.
     resume: Optional[Tuple[int, List[Tuple[Tuple[Any, ...], int]]]] = None
-    #: The spec's compiled form (:class:`repro.compile.CompiledSpec`), or
-    #: None to interpret.  Engines that support the fast path branch on it;
-    #: everything at the boundaries (seeding, replay, checkpoints) stays on
-    #: the interpreted code so the two paths cannot drift there.
-    compiled: Optional[Any] = None
-
     # Shared fingerprint-BFS helpers -----------------------------------------
     def new_frontier(self):
         """An empty next-level frontier: a plain list, or a spilling buffer.
@@ -287,20 +293,35 @@ class CheckContext:
             trace=self.replay(fp),
         )
 
-    def seed_frontier(self) -> Tuple[List[Tuple[State, int]], bool]:
-        """Enumerate initial states into the depth-0 frontier.
+    def start_frontier(
+        self,
+    ) -> Tuple[List[Tuple[State, int]], bool, int, Dict[str, int]]:
+        """``(frontier, stop, depth, action_counts)`` for fresh *or* resumed runs.
 
-        Shared by the fingerprint and parallel engines (both are serial
-        here: initial sets are tiny, and forking for them would be pure
-        cost), so the two cannot drift apart in how exploration starts --
-        part of the bit-identical-statistics contract between them.
+        A fresh run seeds the depth-0 frontier from the initial states
+        (serially: initial sets are tiny, and forking for them would be pure
+        cost); a resumed run rebuilds the checkpointed frontier (value tuples
+        back to ``State`` objects) and continues at the checkpointed depth
+        with the checkpointed action counters -- the store, parent map and
+        result statistics were already restored by the coordinator.  The BFS
+        driver starts through this single entry point, so the two cases
+        cannot diverge, which is what makes resumed statistics bit-identical.
         """
         spec, result = self.spec, self.result
-        frontier: List[Tuple[State, int]] = []
+        action_counts: Dict[str, int] = {act.name: 0 for act in spec.actions}
+        if self.resume is not None:
+            depth, wire_frontier = self.resume
+            action_counts.update(result.action_counts)
+            frontier = [
+                (State.from_values(spec.schema, values), fp)
+                for values, fp in wire_frontier
+            ]
+            return frontier, False, depth, action_counts
+        frontier = []
         stop = False
         for state in spec.initial_states():
             result.generated_states += 1
-            fp = state.fingerprint(self.cache)
+            fp = state.fingerprint()
             if not self.store.add(fp):
                 continue
             self.parents[fp] = (None, None)
@@ -313,32 +334,6 @@ class CheckContext:
             if spec.within_constraint(state):
                 frontier.append((state, fp))
         result.peak_frontier = len(frontier)
-        return frontier, stop
-
-    def start_frontier(
-        self,
-    ) -> Tuple[List[Tuple[State, int]], bool, int, Dict[str, int]]:
-        """``(frontier, stop, depth, action_counts)`` for fresh *or* resumed runs.
-
-        A fresh run seeds the depth-0 frontier from the initial states; a
-        resumed run rebuilds the checkpointed frontier (value tuples back to
-        ``State`` objects) and continues at the checkpointed depth with the
-        checkpointed action counters -- the store, parent map and result
-        statistics were already restored by the coordinator.  Engines using
-        this single entry point cannot diverge in how the two cases start,
-        which is what makes resumed statistics bit-identical.
-        """
-        action_counts: Dict[str, int] = {act.name: 0 for act in self.spec.actions}
-        if self.resume is not None:
-            depth, wire_frontier = self.resume
-            action_counts.update(self.result.action_counts)
-            schema = self.spec.schema
-            frontier = [
-                (State.from_values(schema, values), fp)
-                for values, fp in wire_frontier
-            ]
-            return frontier, False, depth, action_counts
-        frontier, stop = self.seed_frontier()
         return frontier, stop, 0, action_counts
 
     def maybe_checkpoint(
@@ -406,7 +401,7 @@ class CheckContext:
             if candidate.fingerprint() == first_fp:
                 state = candidate
                 break
-        if state is None:  # pragma: no cover - only reachable via fp collision
+        if state is None:
             raise CheckerError(
                 f"counterexample replay failed: no initial state of "
                 f"{self.spec.name!r} has fingerprint {first_fp}"
@@ -419,7 +414,7 @@ class CheckContext:
                 if successor.fingerprint() == next_fp:
                     state = successor
                     break
-            else:  # pragma: no cover - only reachable via fp collision
+            else:
                 raise CheckerError(
                     f"counterexample replay failed at action {action_name!r}: "
                     f"no successor has fingerprint {next_fp}"

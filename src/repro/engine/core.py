@@ -12,7 +12,7 @@ hands it to the selected :class:`~repro.engine.base.Engine`.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 from ..obs import current as obs_current, span
 from ..resilience.checkpoint import Checkpoint, read_checkpoint
@@ -25,7 +25,13 @@ from ..tla.errors import (
     StateSpaceLimitExceeded,
 )
 from ..tla.spec import Specification
-from .base import CheckContext, CheckResult, engine_names, get_engine
+from .base import (
+    CheckContext,
+    CheckResult,
+    InterpretedKernel,
+    engine_names,
+    get_engine,
+)
 from .frontier import DEFAULT_SPILL_THRESHOLD
 from .store import make_store, store_names
 
@@ -237,6 +243,7 @@ class ModelChecker:
             store=self.resolved_store,
             checkpoint_path=self.checkpoint_path,
         )
+        kernel = self._build_kernel(result)
         store = make_store(
             self.resolved_store, capacity=self.store_capacity, path=self.store_path
         )
@@ -244,6 +251,7 @@ class ModelChecker:
             spec=self.spec,
             result=result,
             store=store,
+            kernel=kernel,
             collect_graph=self.collect_graph,
             check_deadlock=self.check_deadlock,
             max_states=self.max_states,
@@ -266,29 +274,6 @@ class ModelChecker:
             # parent map is the *other* per-distinct-state memory consumer,
             # so leaving it in a dict would defeat the store's flat RSS.
             ctx.parents = store.parent_map()
-        if self.compile_mode != "off":
-            # Specialize the spec into its compiled form (repro.compile):
-            # default-on ("auto") with graceful fallback to interpretation,
-            # hard failure under explicit --compile on.  Imported lazily so
-            # the engine package carries no load-time dependency on it.
-            from ..compile import compile_spec
-
-            # emit=False: the compile step is recorded as a metrics gauge and
-            # a run label, not a span event -- event streams stay stable for
-            # consumers that pin the per-run event sequence.
-            compile_timer = span("check.compile", emit=False)
-            try:
-                with compile_timer:
-                    ctx.compiled = compile_spec(self.spec)
-            except Exception as exc:  # noqa: BLE001 - policy decides
-                if self.compile_mode == "on":
-                    raise CheckerError(
-                        f"spec compilation failed for {self.spec.name!r}: {exc}"
-                    ) from exc
-                ctx.compiled = None
-            else:
-                result.compiled = True
-                result.compile_seconds = compile_timer.elapsed
         if self.resume_path is not None:
             self._restore(ctx, result)
         timer = span("check.run")
@@ -322,6 +307,38 @@ class ModelChecker:
             for prop in self.spec.properties:
                 result.property_outcomes.append(result.graph.check_property(prop))
         return result
+
+    def _build_kernel(self, result: CheckResult) -> Any:
+        """The run's expansion kernel: compiled per ``compile_mode``, else interpreted.
+
+        The spec is specialized into its compiled form (:mod:`repro.compile`)
+        by default ("auto"), with graceful fallback to the reference
+        :class:`~repro.engine.base.InterpretedKernel`; under explicit
+        ``compile_mode="on"`` a compile failure fails the run.
+        """
+        if self.compile_mode == "off":
+            return InterpretedKernel(self.spec)
+        # Imported lazily so the engine package carries no load-time
+        # dependency on repro.compile, and looked up per call so the
+        # module attribute can be swapped (instrumentation, tests).
+        from ..compile import compile_spec
+
+        # emit=False: the compile step is recorded as a metrics gauge and a
+        # run label, not a span event -- event streams stay stable for
+        # consumers that pin the per-run event sequence.
+        compile_timer = span("check.compile", emit=False)
+        try:
+            with compile_timer:
+                kernel = compile_spec(self.spec)
+        except Exception as exc:  # noqa: BLE001 - policy decides
+            if self.compile_mode == "on":
+                raise CheckerError(
+                    f"spec compilation failed for {self.spec.name!r}: {exc}"
+                ) from exc
+            return InterpretedKernel(self.spec)
+        result.compiled = True
+        result.compile_seconds = compile_timer.elapsed
+        return kernel
 
     @staticmethod
     def _finalize_store(ctx: CheckContext, result: CheckResult) -> None:

@@ -74,6 +74,8 @@ class SerialStatesEngine(Engine):
 
         obs_run = obs_current()
         ticker = obs_run.progress if obs_run is not None else None
+        expand = ctx.kernel.expand
+        schema = spec.schema
 
         # Breadth-first exploration -----------------------------------------
         while queue:
@@ -92,55 +94,20 @@ class SerialStatesEngine(Engine):
             if ctx.max_depth is not None and depth >= ctx.max_depth:
                 result.truncated = True
                 continue
-            if ctx.compiled is not None:
-                # Compiled fast path: expand through the specialized kernel,
-                # rebuild real State objects for interning -- the retained
-                # store and graph hold exactly what the interpreted path
-                # retains, so DOT export / properties / MBTCG see no change.
-                entries = ctx.compiled.expand(state.values)
-                if not entries and ctx.check_deadlock:
-                    trace = self._reconstruct_trace(store, state_id, parents)
-                    result.deadlock = DeadlockError(
-                        f"deadlock reached in specification {spec.name!r}",
-                        trace=trace,
-                    )
-                    if ctx.stop_on_violation:
-                        break
-                schema = spec.schema
-                for action_name, nvalues, _nfp, violated_name, within in entries:
-                    result.generated_states += 1
-                    action_counts[action_name] += 1
-                    nxt = State.from_values(schema, nvalues)
-                    next_id, is_new = intern(nxt, initial=False)
-                    if graph is not None:
-                        graph.add_edge(state_id, action_name, next_id)
-                    if not is_new:
-                        continue
-                    parents[next_id] = (state_id, action_name)
-                    depths[next_id] = depth + 1
-                    result.max_depth = max(result.max_depth, depth + 1)
-                    if violated_name is not None:
-                        result.invariant_violation = record_violation(
-                            next_id, violated_name
-                        )
-                        if ctx.stop_on_violation:
-                            queue.clear()
-                            break
-                    if within:
-                        queue.append(nxt)
-                result.peak_frontier = max(result.peak_frontier, len(queue))
-                continue
-            successors = spec.successors(state)
-            if not successors and ctx.check_deadlock:
+            # Real State objects are rebuilt for interning: the retained
+            # store and graph hold states, whichever kernel expanded them.
+            entries = expand(state.values)
+            if not entries and ctx.check_deadlock:
                 trace = self._reconstruct_trace(store, state_id, parents)
                 result.deadlock = DeadlockError(
                     f"deadlock reached in specification {spec.name!r}", trace=trace
                 )
                 if ctx.stop_on_violation:
                     break
-            for action_name, nxt in successors:
+            for action_name, nvalues, _nfp, violated_name, within in entries:
                 result.generated_states += 1
                 action_counts[action_name] += 1
+                nxt = State.from_values(schema, nvalues)
                 next_id, is_new = intern(nxt, initial=False)
                 if graph is not None:
                     graph.add_edge(state_id, action_name, next_id)
@@ -149,13 +116,14 @@ class SerialStatesEngine(Engine):
                 parents[next_id] = (state_id, action_name)
                 depths[next_id] = depth + 1
                 result.max_depth = max(result.max_depth, depth + 1)
-                violated = spec.violated_invariant(nxt)
-                if violated is not None:
-                    result.invariant_violation = record_violation(next_id, violated.name)
+                if violated_name is not None:
+                    result.invariant_violation = record_violation(
+                        next_id, violated_name
+                    )
                     if ctx.stop_on_violation:
                         queue.clear()
                         break
-                if spec.within_constraint(nxt):
+                if within:
                     queue.append(nxt)
             result.peak_frontier = max(result.peak_frontier, len(queue))
 

@@ -36,8 +36,7 @@ from ..resilience import SupervisedPool, TaskError
 from ..tla.errors import DeadlockError, InvariantViolation
 from ..tla.spec import Specification
 from ..tla.state import State
-from ..tla.values import FingerprintCache
-from .base import CheckContext, Engine, memoized_verdict, register_engine
+from .base import CheckContext, Engine, register_engine
 from .parallel import _parallel_worker_init
 
 __all__ = ["SimulationEngine"]
@@ -52,134 +51,67 @@ _WalkOutcome = Tuple[int, int, List[int], Optional[str], bool, _WireTrace, Tuple
 
 
 def _run_walk(
-    spec: Specification,
-    cache: FingerprintCache,
-    initial: List[State],
+    kernel: Any,
+    initial: List[Tuple[Tuple[Any, ...], int]],
     walk_index: int,
     seed: int,
     walk_depth: int,
-    verdicts: Dict[int, Tuple[Optional[str], bool]],
 ) -> _WalkOutcome:
     """Run one seeded random walk; pure function of its arguments.
 
-    The walk starts in a uniformly chosen initial state and repeatedly takes
-    a uniformly chosen enabled action whose successor satisfies the state
-    constraint.  Invariants are evaluated on *every generated* successor, in
-    generation order, exactly as the BFS engines' expansion does -- so a
-    violating state one step off the walk (even one outside the constraint,
-    which is generated but never entered) still surfaces as a violation,
-    with the walk prefix plus that successor as the counterexample.  The
-    walk ends at the depth budget, at an invariant violation, at a deadlock,
-    or when the constraint fences every successor off.
+    The walk starts in a uniformly chosen initial state (``initial`` holds
+    ``(values, fingerprint)`` pairs) and repeatedly takes a uniformly chosen
+    enabled action whose successor satisfies the state constraint.
+    Invariants are evaluated on *every generated* successor, in generation
+    order, exactly as the BFS engines' expansion does -- so a violating
+    state one step off the walk (even one outside the constraint, which is
+    generated but never entered) still surfaces as a violation, with the
+    walk prefix plus that successor as the counterexample.  The walk ends at
+    the depth budget, at an invariant violation, at a deadlock, or when the
+    constraint fences every successor off.
+
+    ``random.Random.choice`` depends only on the sequence *length*, and
+    every kernel enumerates successors in the spec's order -- so walk *i*
+    draws the same initial state and the same successor indices whichever
+    kernel expands it.
     """
     rng = random.Random(f"{seed}:{walk_index}")
     generated = len(initial)
-    state = rng.choice(initial)
-    fp = state.fingerprint(cache)
-    fps = [fp]
-    trace: List[State] = [state]
-    actions: List[str] = []
-    violated_name, within = memoized_verdict(spec, state, fp, verdicts)
-    deadlocked = False
-    steps = 0
-    if violated_name is None and within:
-        while steps < walk_depth:
-            successors = spec.successors(state)
-            generated += len(successors)
-            if not successors:
-                deadlocked = True
-                break
-            hit: Optional[Tuple[str, State, int, str]] = None
-            candidates: List[Tuple[str, State, int]] = []
-            for action_name, nxt in successors:
-                nfp = nxt.fingerprint(cache)
-                inv_name, nxt_within = memoized_verdict(spec, nxt, nfp, verdicts)
-                if inv_name is not None:
-                    hit = (action_name, nxt, nfp, inv_name)
-                    break
-                if nxt_within:
-                    candidates.append((action_name, nxt, nfp))
-            if hit is not None:
-                action_name, state, fp, violated_name = hit
-                steps += 1
-                fps.append(fp)
-                trace.append(state)
-                actions.append(action_name)
-                break
-            if not candidates:
-                break
-            action_name, state, fp = rng.choice(candidates)
-            steps += 1
-            fps.append(fp)
-            trace.append(state)
-            actions.append(action_name)
-    return (
-        steps,
-        generated,
-        fps,
-        violated_name,
-        deadlocked,
-        tuple(s.values for s in trace),
-        tuple(actions),
-    )
-
-
-def _run_walk_compiled(
-    compiled: Any,
-    cache: FingerprintCache,
-    initial: List[State],
-    walk_index: int,
-    seed: int,
-    walk_depth: int,
-) -> _WalkOutcome:
-    """:func:`_run_walk` through the compiled kernels; same outcome shape.
-
-    The walk carries value tuples instead of ``State`` objects.  RNG parity
-    with the interpreted walk holds because ``random.Random.choice`` depends
-    only on the sequence *length*, and the compiled expansion enumerates
-    candidates in the interpreted order -- so walk *i* draws the same
-    initial state and the same successor indices either way.
-    """
-    rng = random.Random(f"{seed}:{walk_index}")
-    generated = len(initial)
-    state = rng.choice(initial)
-    fp = state.fingerprint(cache)
-    values = state.values
+    values, fp = rng.choice(initial)
     fps = [fp]
     trace: List[Tuple[Any, ...]] = [values]
     actions: List[str] = []
-    violated_name, within = compiled.verdict_for(values, fp)
+    violated_name, within = kernel.verdict_for(values, fp)
     deadlocked = False
     steps = 0
     if violated_name is None and within:
         while steps < walk_depth:
-            entries = compiled.expand(values)
+            entries = kernel.expand(values)
             generated += len(entries)
             if not entries:
                 deadlocked = True
                 break
-            hit: Optional[Tuple[str, Tuple[Any, ...], int, str]] = None
             candidates: List[Tuple[str, Tuple[Any, ...], int]] = []
             for action_name, nvalues, nfp, inv_name, nxt_within in entries:
                 if inv_name is not None:
-                    hit = (action_name, nvalues, nfp, inv_name)
+                    # The violating successor is the walk's last step.
+                    violated_name = inv_name
+                    candidates = [(action_name, nvalues, nfp)]
                     break
                 if nxt_within:
                     candidates.append((action_name, nvalues, nfp))
-            if hit is not None:
-                action_name, values, fp, violated_name = hit
-                steps += 1
-                fps.append(fp)
-                trace.append(values)
-                actions.append(action_name)
-                break
             if not candidates:
                 break
-            action_name, values, fp = rng.choice(candidates)
+            if violated_name is None:
+                action_name, values, fp = rng.choice(candidates)
+            else:
+                action_name, values, fp = candidates[0]
             steps += 1
             fps.append(fp)
             trace.append(values)
             actions.append(action_name)
+            if violated_name is not None:
+                break
     return (
         steps,
         generated,
@@ -193,7 +125,7 @@ def _run_walk_compiled(
 
 # ---------------------------------------------------------------------------
 # Pool worker side.  The initializer is shared with the parallel BFS engine:
-# rebuild the spec by registry name, keep a private FingerprintCache.
+# rebuild the spec by registry name and build the worker's kernel.
 # ---------------------------------------------------------------------------
 
 
@@ -214,30 +146,25 @@ def _simulate_shard(
     """
     from . import parallel
 
-    spec, cache = parallel._WORKER_SPEC, parallel._WORKER_CACHE
-    assert spec is not None and cache is not None
+    assert parallel._WORKER_KERNEL is not None
     return _drive_walks(
-        spec,
-        cache,
+        parallel._WORKER_KERNEL,
         range(start, stop),
         seed,
         walk_depth,
         check_deadlock,
         stop_on_violation,
-        compiled=parallel._WORKER_COMPILED,
     )
 
 
 def _drive_walks(
-    spec: Specification,
-    cache: FingerprintCache,
+    kernel: Any,
     indices: range,
     seed: int,
     walk_depth: int,
     check_deadlock: bool,
     stop_on_violation: bool,
     store: Any = None,
-    compiled: Any = None,
 ) -> Dict[str, Any]:
     """Run a slice of walks and aggregate their outcomes (wire-friendly).
 
@@ -256,24 +183,16 @@ def _drive_walks(
     obs_run = obs_current() if store is not None else None
     ticker = obs_run.progress if obs_run is not None else None
     unique_fps: Dict[int, None] = {}
-    verdicts: Dict[int, Tuple[Optional[str], bool]] = {}
     action_counts: Dict[str, int] = {}
     violation: Optional[Tuple[int, str, _WireTrace]] = None
     deadlock: Optional[Tuple[int, _WireTrace]] = None
-    initial = spec.initial_states()  # once per slice, not once per walk
+    initial = [  # once per slice, not once per walk
+        (state.values, state.fingerprint()) for state in kernel.spec.initial_states()
+    ]
     for walk_index in indices:
-        if compiled is not None:
-            steps, walk_generated, walk_fps, inv_name, deadlocked, trace, actions = (
-                _run_walk_compiled(
-                    compiled, cache, initial, walk_index, seed, walk_depth
-                )
-            )
-        else:
-            steps, walk_generated, walk_fps, inv_name, deadlocked, trace, actions = (
-                _run_walk(
-                    spec, cache, initial, walk_index, seed, walk_depth, verdicts
-                )
-            )
+        steps, walk_generated, walk_fps, inv_name, deadlocked, trace, actions = (
+            _run_walk(kernel, initial, walk_index, seed, walk_depth)
+        )
         walks_run += 1
         generated += walk_generated
         max_steps = max(max_steps, steps)
@@ -329,7 +248,7 @@ class SimulationEngine(Engine):
         return (workers or 1) > 1
 
     def run(self, ctx: CheckContext) -> None:
-        spec, result = ctx.spec, ctx.result
+        result = ctx.result
         workers = ctx.workers or 1
         if workers > 1:
             # workers > 1 only ever happens by explicit request (the default
@@ -341,15 +260,13 @@ class SimulationEngine(Engine):
             result.workers = 1
             shards = [
                 _drive_walks(
-                    spec,
-                    ctx.cache,
+                    ctx.kernel,
                     range(ctx.walks),
                     ctx.seed,
                     ctx.walk_depth,
                     ctx.check_deadlock,
                     ctx.stop_on_violation,
                     store=ctx.store,
-                    compiled=ctx.compiled,
                 )
             ]
         self._merge(ctx, shards)
@@ -376,7 +293,7 @@ class SimulationEngine(Engine):
                 registry_name,
                 params,
                 list(PROVIDER_MODULES),
-                ctx.compiled is not None,
+                ctx.result.compiled,
             ),
             config=ctx.supervision,
             chaos=ctx.chaos,
@@ -405,14 +322,12 @@ class SimulationEngine(Engine):
                     # what its worker would have returned.
                     shards.append(
                         _drive_walks(
-                            spec,
-                            ctx.cache,
+                            ctx.kernel,
                             range(start, stop),
                             ctx.seed,
                             ctx.walk_depth,
                             ctx.check_deadlock,
                             ctx.stop_on_violation,
-                            compiled=ctx.compiled,
                         )
                     )
             ctx.result.supervision = pool.stats

@@ -8,8 +8,10 @@ reproducing them exactly.
 import pytest
 
 from conftest import make_counter_spec
+from repro.engine import CheckContext, CheckResult, FingerprintSetStore, InterpretedKernel
 from repro.tla import ModelChecker, check_spec
 from repro.tla.errors import (
+    CheckerError,
     DeadlockError,
     InvariantViolation,
     StateSpaceLimitExceeded,
@@ -73,6 +75,38 @@ def test_invariant_violation_counterexample_is_replayed(engine):
     assert [state["x"] for state in violation.trace] == [0, 1, 2, 3, 4]
     with pytest.raises(InvariantViolation):
         check_spec(spec, check_properties=False, engine=engine, raise_on_violation=True)
+
+
+def _replay_context(spec, parents):
+    """A fingerprint-engine context whose parent map is ``parents``."""
+    return CheckContext(
+        spec=spec,
+        result=CheckResult(spec_name=spec.name),
+        store=FingerprintSetStore(),
+        kernel=InterpretedKernel(spec),
+        parents=parents,
+    )
+
+
+def test_replay_fails_loudly_on_an_unknown_root():
+    """A chain rooted at no initial state (a collision) names the spec."""
+    spec = make_counter_spec(limit=3)
+    init_fp = spec.initial_states()[0].fingerprint()
+    ctx = _replay_context(spec, {init_fp + 1: (None, None)})
+    with pytest.raises(CheckerError, match="no initial state of 'Counter'"):
+        ctx.replay(init_fp + 1)
+
+
+def test_replay_fails_loudly_on_a_missing_successor():
+    """A recorded step no successor reproduces names the action."""
+    spec = make_counter_spec(limit=3)
+    init_fp = spec.initial_states()[0].fingerprint()
+    bogus_fp = init_fp ^ 1
+    ctx = _replay_context(
+        spec, {init_fp: (None, None), bogus_fp: (init_fp, "Increment")}
+    )
+    with pytest.raises(CheckerError, match="at action 'Increment'"):
+        ctx.replay(bogus_fp)
 
 
 @pytest.mark.parametrize("engine", ["fingerprint", "states"])

@@ -296,3 +296,29 @@ def test_pool_shutdown_terminates_stragglers_within_grace():
     assert stats.tasks == 1
     assert stats.workers_spawned == 1
     assert stats.completed == 0
+
+
+def test_cli_chaos_check_terminates_recycled_workers_quietly(capfd):
+    # The CLI routes SIGTERM to KeyboardInterrupt for a graceful drain; pool
+    # workers must not inherit that handler, or every worker the supervisor
+    # recycles with SIGTERM dies printing a traceback.
+    from repro.pipeline.cli import main
+
+    code = main(
+        [
+            "check",
+            "locking",
+            "--engine",
+            "parallel",
+            "--workers",
+            "2",
+            "--chaos-rate",
+            "0.3",
+            "--chaos-seed",
+            "7",
+        ]
+    )
+    out, err = capfd.readouterr()
+    assert code == 0
+    assert "544 distinct states" in out
+    assert "KeyboardInterrupt" not in err
